@@ -61,30 +61,67 @@ pub mod table;
 
 use robots::{Algorithm, View};
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 use trigrid::Dir;
 
-/// Sentinel for "not yet computed" in the decision cache (valid
+/// Sentinel for "not yet computed" in the decision memo (valid
 /// decisions are 0..=6).
 const UNCACHED: u8 = 0xFF;
+
+/// Number of independent switches that select a decision function: the
+/// [`rules::RuleOptions`] flags plus the synthesized-overrides bit.
+const MEMO_KEY_BITS: usize = 6;
+
+/// The memo slot of a rule set. `RuleOptions` is destructured without
+/// `..`, so a new flag fails to compile here (and the key array's length
+/// pins [`MEMO_KEY_BITS`]) instead of silently aliasing two rule sets.
+fn memo_slot(opts: rules::RuleOptions, use_overrides: bool) -> usize {
+    let rules::RuleOptions {
+        fix_line25_misprint,
+        connectivity_guard,
+        priority_guard,
+        completion,
+        mirror_line23_guard,
+    } = opts;
+    let key: [bool; MEMO_KEY_BITS] = [
+        fix_line25_misprint,
+        connectivity_guard,
+        priority_guard,
+        completion,
+        mirror_line23_guard,
+        use_overrides,
+    ];
+    key.iter().fold(0, |slot, &bit| (slot << 1) | usize::from(bit))
+}
+
+/// The process-wide decision memo of a rule set: one byte per radius-2
+/// view, allocated on first use and shared by every instance, clone and
+/// thread that runs the same rule set.
+fn shared_memo(opts: rules::RuleOptions, use_overrides: bool) -> &'static [AtomicU8] {
+    static MEMOS: [OnceLock<Box<[AtomicU8]>>; 1 << MEMO_KEY_BITS] =
+        [const { OnceLock::new() }; 1 << MEMO_KEY_BITS];
+    MEMOS[memo_slot(opts, use_overrides)]
+        .get_or_init(|| (0..table::VIEWS).map(|_| AtomicU8::new(UNCACHED)).collect())
+}
 
 /// The paper's gathering algorithm for seven robots with visibility
 /// range 2 (Algorithm 1).
 ///
-/// Decisions are memoised per view in a lock-free cache (the decision
-/// function is pure, so robots stay oblivious; the cache is invisible to
-/// the model).
+/// Decisions are memoised per view in a lock-free table shared by the
+/// whole process (one per rule set): the decision function is pure, so
+/// robots stay oblivious and the memo is invisible to the model, and
+/// all instances of a rule set share one fill.
+#[derive(Clone)]
 pub struct SevenGather {
     opts: rules::RuleOptions,
     name: &'static str,
     use_overrides: bool,
-    cache: Vec<AtomicU8>,
+    memo: &'static [AtomicU8],
 }
 
 impl SevenGather {
     fn new(opts: rules::RuleOptions, name: &'static str, use_overrides: bool) -> Self {
-        let mut cache = Vec::with_capacity(table::VIEWS);
-        cache.resize_with(table::VIEWS, || AtomicU8::new(UNCACHED));
-        SevenGather { opts, name, use_overrides, cache }
+        SevenGather { opts, name, use_overrides, memo: shared_memo(opts, use_overrides) }
     }
 
     /// Algorithm 1 exactly as printed in the paper (including its
@@ -127,12 +164,6 @@ impl SevenGather {
     }
 }
 
-impl Clone for SevenGather {
-    fn clone(&self) -> Self {
-        SevenGather::new(self.opts, self.name, self.use_overrides)
-    }
-}
-
 impl std::fmt::Debug for SevenGather {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SevenGather").field("opts", &self.opts).field("name", &self.name).finish()
@@ -146,16 +177,48 @@ impl Algorithm for SevenGather {
 
     fn compute(&self, view: &View) -> Option<Dir> {
         let idx = view.bits() as usize;
-        let cached = self.cache[idx].load(Ordering::Relaxed);
+        let cached = self.memo[idx].load(Ordering::Relaxed);
         if cached != UNCACHED {
             return rules::decode_decision(cached);
         }
         let decision = self.decide(view);
-        self.cache[idx].store(rules::encode_decision(decision), Ordering::Relaxed);
+        self.memo[idx].store(rules::encode_decision(decision), Ordering::Relaxed);
         decision
     }
 
     fn name(&self) -> &str {
         self.name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_rule_set_has_its_own_memo_slot() {
+        let mut seen = std::collections::HashSet::new();
+        for key in 0..1u32 << MEMO_KEY_BITS {
+            let bit = |i: u32| key >> i & 1 == 1;
+            let opts = rules::RuleOptions {
+                fix_line25_misprint: bit(0),
+                connectivity_guard: bit(1),
+                priority_guard: bit(2),
+                completion: bit(3),
+                mirror_line23_guard: bit(4),
+            };
+            let slot = memo_slot(opts, bit(5));
+            assert!(slot < 1 << MEMO_KEY_BITS);
+            assert!(seen.insert(slot), "{opts:?} overrides={} aliases another rule set", bit(5));
+        }
+    }
+
+    #[test]
+    fn clones_and_fresh_instances_share_one_memo() {
+        let a = SevenGather::verified();
+        let b = a.clone();
+        assert!(std::ptr::eq(a.memo, b.memo));
+        assert!(std::ptr::eq(a.memo, SevenGather::verified().memo));
+        assert!(!std::ptr::eq(a.memo, SevenGather::with_options(a.options()).memo));
     }
 }

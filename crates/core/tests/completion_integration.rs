@@ -113,17 +113,36 @@ fn no_rule_of_the_verified_system_moves_west() {
 
 #[test]
 fn verified_table_agrees_with_the_algorithm_object() {
+    // Decisions are memoised process-wide, one memo per rule set. The
+    // override views are exactly where the verified algorithm and the
+    // same options without overrides disagree, so querying the latter
+    // both before and after the former (and a clone of it) fails here
+    // if a memo key ever lets two rule sets share a slot.
+    let verified = gathering::table::verified_table();
+    let unoverridden = gathering::table::full_table(RuleOptions::VERIFIED);
+    let printed = gathering::table::full_table(RuleOptions::PAPER);
+    let override_views: Vec<u64> =
+        gathering::overrides::OVERRIDES.iter().map(|&(bits, _)| u64::from(bits)).collect();
+    let sampled: Vec<u64> = (0..(1u64 << 18)).step_by(9973).collect();
+    for &bits in &override_views {
+        assert_ne!(verified[bits as usize], unoverridden[bits as usize], "{bits:#x}");
+    }
+    let check = |algo: &SevenGather, table: &[u8], views: &[u64]| {
+        for &bits in views {
+            let v = View::from_bits(2, bits);
+            let expected = rules::decode_decision(table[bits as usize]);
+            assert_eq!(algo.compute(&v), expected, "{} on {bits:#x}", algo.name());
+        }
+    };
+    check(&SevenGather::with_options(RuleOptions::VERIFIED), &unoverridden, &override_views);
     let algo = SevenGather::verified();
-    let table = gathering::table::verified_table();
-    // Spot-check a spread of views, including all override views.
-    for bits in (0..(1u64 << 18)).step_by(9973) {
-        let v = View::from_bits(2, bits);
-        assert_eq!(algo.compute(&v), rules::decode_decision(table[bits as usize]), "{bits:#x}");
+    let clone = algo.clone();
+    for views in [&sampled, &override_views] {
+        check(&algo, verified, views);
+        check(&clone, verified, views);
     }
-    for &(bits, _) in gathering::overrides::OVERRIDES {
-        let v = View::from_bits(2, bits as u64);
-        assert_eq!(algo.compute(&v), rules::decode_decision(table[bits as usize]));
-    }
+    check(&SevenGather::with_options(RuleOptions::VERIFIED), &unoverridden, &override_views);
+    check(&SevenGather::paper(), &printed, &sampled);
 }
 
 #[test]

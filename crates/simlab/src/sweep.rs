@@ -1424,7 +1424,7 @@ fn run_shard_inner(
         metrics: Some(MetricsBlock { snapshot }),
         record_digest: None,
     };
-    record.record_digest = shard_self_digest(&record).ok();
+    record.record_digest = shard_self_digest(&mut record).ok();
     Ok(ShardProgress::Done(Box::new(record)))
 }
 
@@ -1729,12 +1729,13 @@ fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
 /// digest field blank. Verification re-serializes the *parsed* record
 /// the same way, so any corruption that changes the decoded content —
 /// truncation, bit flips, hand edits — breaks the digest even when the
-/// result still parses as JSON.
-fn shard_self_digest(record: &ShardRecord) -> io::Result<String> {
-    let mut unsigned = record.clone();
-    unsigned.record_digest = None;
-    let json = serde_json::to_string(&unsigned).map_err(io::Error::other)?;
-    Ok(format!("{:016x}", fnv64_of(json.as_bytes())))
+/// result still parses as JSON. The stored digest is taken out for the
+/// serialization and put back, so the record is left as it was.
+fn shard_self_digest(record: &mut ShardRecord) -> io::Result<String> {
+    let stored = record.record_digest.take();
+    let json = serde_json::to_string(record);
+    record.record_digest = stored;
+    Ok(format!("{:016x}", fnv64_of(json.map_err(io::Error::other)?.as_bytes())))
 }
 
 /// Loads and fully validates a shard record for resume.
@@ -1757,11 +1758,11 @@ fn load_shard_checked(
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("unreadable: {e}")),
     };
-    let record: ShardRecord =
+    let mut record: ShardRecord =
         serde_json::from_str(&text).map_err(|e| format!("malformed JSON: {e}"))?;
-    if let Some(stored) = &record.record_digest {
-        let computed = shard_self_digest(&record).map_err(|e| format!("digest check: {e}"))?;
-        if *stored != computed {
+    if let Some(stored) = record.record_digest.clone() {
+        let computed = shard_self_digest(&mut record).map_err(|e| format!("digest check: {e}"))?;
+        if stored != computed {
             return Err(format!("self-digest mismatch (stored {stored}, computed {computed})"));
         }
     }
@@ -2424,18 +2425,18 @@ mod tests {
     fn shard_records_carry_a_verifiable_self_digest() {
         let cfg = SweepConfig { n: 4, shards: 1, ..SweepConfig::default() };
         let classes = polyhex::enumerate_fixed(4);
-        let record = run_shard(&classes, &cfg, 0, 0, classes.len());
+        let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
         let stored = record.record_digest.clone().expect("records are sealed at build time");
-        assert_eq!(stored, shard_self_digest(&record).expect("digestible"));
+        assert_eq!(stored, shard_self_digest(&mut record).expect("digestible"));
         // The digest survives a JSON round-trip (what resume does).
         let json = serde_json::to_string_pretty(&record).expect("serializes");
-        let reread: ShardRecord = serde_json::from_str(&json).expect("parses");
+        let mut reread: ShardRecord = serde_json::from_str(&json).expect("parses");
         assert_eq!(reread.record_digest.as_deref(), Some(stored.as_str()));
-        assert_eq!(stored, shard_self_digest(&reread).expect("digestible"));
+        assert_eq!(stored, shard_self_digest(&mut reread).expect("digestible"));
         // Tampering with decoded content breaks it.
         let mut tampered = record;
         tampered.results[0].expanded += 1;
-        assert_ne!(stored, shard_self_digest(&tampered).expect("digestible"));
+        assert_ne!(stored, shard_self_digest(&mut tampered).expect("digestible"));
     }
 
     #[test]
@@ -2657,7 +2658,7 @@ mod tests {
             let classes = polyhex::enumerate_fixed(4);
             let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
             record.results[5] = panicked_outcome(5, sched, "injected".into());
-            record.record_digest = Some(shard_self_digest(&record).expect("digestible"));
+            record.record_digest = Some(shard_self_digest(&mut record).expect("digestible"));
             assert!(record.matches(&cfg, 0, 0, classes.len()), "{spec}: row stays consistent");
             let summary =
                 merge_shards(&cfg, std::slice::from_ref(&record)).expect("poisoned row merges");

@@ -7,9 +7,10 @@
 //! must be reproducible no matter how the work-stealing pool
 //! interleaves the classes).
 
+use gathering::rules::RuleOptions;
 use simlab::sweep::{
-    merge_shards, run_shard, shard_ranges, verdict_digest, ClassOutcome, SchedSpec, ShardRecord,
-    SweepConfig,
+    merge_shards, run_shard, shard_ranges, verdict_digest, AlgoSpec, ClassOutcome, SchedSpec,
+    ShardRecord, SweepConfig,
 };
 
 /// Runs a full cell with the given thread and shard counts and returns
@@ -121,6 +122,39 @@ fn cell_digest_and_json(cfg: &SweepConfig) -> (u64, String) {
         .collect();
     let merged: Vec<&ClassOutcome> = records.iter().flat_map(|r| r.results.iter()).collect();
     (verdict_digest(&records), serde_json::to_string(&merged).expect("results serialise"))
+}
+
+#[test]
+fn mixed_rule_sets_in_one_process_keep_their_own_decisions() {
+    // Decisions are memoised once per process and rule set. Interleave
+    // the printed rules, the verified options without their overrides
+    // and the verified algorithm on one cell, in both orders: each must
+    // reproduce its own digest whichever rule set filled the memos
+    // first, and the verified digest must be the committed n=5 row.
+    let golden: serde_json::Value =
+        serde_json::from_str(include_str!("../../../tests/golden/nsweep-verified.json"))
+            .expect("fixture parses");
+    let pinned = golden
+        .as_seq()
+        .expect("fixture is an array")
+        .iter()
+        .find(|row| {
+            row.get("n").and_then(serde_json::Value::as_i128) == Some(5)
+                && row.get("sched").and_then(serde_json::Value::as_str) == Some("crash-f1")
+        })
+        .and_then(|row| row.get("digest")?.as_str())
+        .expect("the n=5 crash:1 row is pinned");
+    let sched = SchedSpec::parse("crash:1").expect("known scheduler");
+    let digest_of = |algo: AlgoSpec| {
+        let cfg = SweepConfig { n: 5, sched, algo, ..SweepConfig::default() };
+        cell_digest_and_json(&cfg).0
+    };
+    let specs = [AlgoSpec::Ablation(RuleOptions::VERIFIED), AlgoSpec::Paper, AlgoSpec::Verified];
+    let forward: Vec<u64> = specs.iter().map(|&algo| digest_of(algo)).collect();
+    let mut backward: Vec<u64> = specs.iter().rev().map(|&algo| digest_of(algo)).collect();
+    backward.reverse();
+    assert_eq!(forward, backward, "run order changed a rule set's digest");
+    assert_eq!(format!("{:016x}", forward[2]), pinned, "verified n=5 crash:1 digest drifted");
 }
 
 #[test]
