@@ -6,9 +6,12 @@
 //! base decisions — the raw material for designing the missing guards.
 //!
 //! ```text
-//! cargo run --release -p simlab --bin diagnose [-- paper|verified] [--top N]
-//! cargo run --release -p simlab --bin diagnose -- --stats [--class I] [--n N] [paper|verified]
+//! cargo run --release -p simlab --bin diagnose [-- paper|verified|FLAGS] [--top N]
+//! cargo run --release -p simlab --bin diagnose -- --stats [--class I] [--n N] [paper|verified|FLAGS]
 //! ```
+//!
+//! The algorithm spec is the one `sweep --algo` takes ([`AlgoSpec`]);
+//! it defaults to `verified`.
 //!
 //! `--stats` switches to single-class telemetry mode: it runs the
 //! exhaustive SSYNC adversary checker on one class (`--class`, default
@@ -17,26 +20,93 @@
 //! rates, frontier peaks — as pretty JSON plus a short human summary.
 
 use gathering::base::{determine, BaseDecision};
-use gathering::SevenGather;
 use robots::adversary::{AdversaryOptions, Checker};
 use robots::{engine, Algorithm, Configuration, Limits, Outcome, View};
 use simlab::render;
+use simlab::sweep::{AlgoSpec, MAX_SWEEP_N, MIN_SWEEP_N};
 use std::collections::HashMap;
 
-/// Parses the value following `flag`, if present.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).and_then(|s| s.parse().ok())
+/// What one invocation asks for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    algo: AlgoSpec,
+    mode: Mode,
+}
+
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// Cluster the failures of the n = 7 verification; print the `top`
+    /// largest clusters.
+    Clusters { top: usize },
+    /// Telemetry snapshot of one adversary check.
+    Stats { n: usize, class: usize },
+}
+
+/// Prints the reason and the usage text, and exits with the usage
+/// code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: diagnose [paper|verified|FLAGS] [--top N]\n\
+         \x20      diagnose --stats [--class I] [--n N ({MIN_SWEEP_N}..={MAX_SWEEP_N})] [paper|verified|FLAGS]\n\
+         \n\
+         FLAGS is a '+'-separated ablation list from fix25, conn, prio, compl, mirror (or 'none')."
+    );
+    std::process::exit(2);
+}
+
+/// Parses a raw argument vector. Pure (no I/O, no exit), so the usage
+/// surface is unit-testable; `main` routes any `Err` through
+/// [`usage_error`].
+fn parse_cli(argv: &[String]) -> Result<Args, String> {
+    let mut algo = None;
+    let mut stats = false;
+    let (mut top, mut n, mut class) = (None, None, None);
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut number = |name: &str, what: &str| -> Result<Option<usize>, String> {
+            let v = it.next().ok_or_else(|| format!("missing value for {name}"))?;
+            v.parse().map(Some).map_err(|_| format!("invalid {what} for {name}: {v:?}"))
+        };
+        match arg.as_str() {
+            "--stats" => stats = true,
+            "--top" => top = number("--top", "cluster count")?,
+            "--n" => n = number("--n", "robot count")?,
+            "--class" => class = number("--class", "class index")?,
+            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag:?}")),
+            spec => {
+                if algo.is_some() {
+                    return Err(format!("more than one algorithm spec: {spec:?}"));
+                }
+                algo = Some(
+                    AlgoSpec::parse(spec)
+                        .ok_or_else(|| format!("unknown algorithm spec {spec:?}"))?,
+                );
+            }
+        }
+    }
+    let mode = if stats {
+        if top.is_some() {
+            return Err("--top clusters failures; it does not apply to --stats".into());
+        }
+        let n = n.unwrap_or(7);
+        if !(MIN_SWEEP_N..=MAX_SWEEP_N).contains(&n) {
+            return Err(format!("--n {n} is outside the supported {MIN_SWEEP_N}..={MAX_SWEEP_N}"));
+        }
+        Mode::Stats { n, class: class.unwrap_or(0) }
+    } else {
+        if n.is_some() || class.is_some() {
+            return Err("--n and --class select one class for --stats; add --stats".into());
+        }
+        Mode::Clusters { top: top.unwrap_or(8) }
+    };
+    Ok(Args { algo: algo.unwrap_or(AlgoSpec::Verified), mode })
 }
 
 /// `--stats` mode: one class, one check, full telemetry dump.
-fn run_stats(args: &[String]) {
-    let which = if args.iter().any(|a| a == "paper") { "paper" } else { "verified" };
-    let n: usize = flag_value(args, "--n").unwrap_or(7);
-    let class: usize = flag_value(args, "--class").unwrap_or(0);
-    let algo = match which {
-        "paper" => SevenGather::paper(),
-        _ => SevenGather::verified(),
-    };
+fn run_stats(spec: &AlgoSpec, n: usize, class: usize) {
+    let which = spec.name();
+    let algo = spec.build();
     let classes = polyhex::enumerate_fixed(n);
     let Some(cells) = classes.get(class) else {
         eprintln!("class {class} out of range: the n={n} space holds {} classes", classes.len());
@@ -76,17 +146,13 @@ fn run_stats(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--stats") {
-        run_stats(&args);
-        return;
-    }
-    let which = args.first().map(String::as_str).unwrap_or("verified");
-    let top: usize = flag_value(&args, "--top").unwrap_or(8);
-    let algo = match which {
-        "paper" => SevenGather::paper(),
-        _ => SevenGather::verified(),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_cli(&argv).unwrap_or_else(|msg| usage_error(&msg));
+    let top = match args.mode {
+        Mode::Stats { n, class } => return run_stats(&args.algo, n, class),
+        Mode::Clusters { top } => top,
     };
+    let algo = args.algo.build();
     let limits = Limits::default();
     let classes = polyhex::enumerate_fixed(7);
 
@@ -146,5 +212,66 @@ fn main() {
         println!("sample initial configuration:");
         print!("{}", render::render_with_margin(sample_initial, 0));
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_every_sweep_algorithm_spec_in_both_modes() {
+        let args = parse_cli(&argv(&[])).expect("empty invocation");
+        assert_eq!(args, Args { algo: AlgoSpec::Verified, mode: Mode::Clusters { top: 8 } });
+        let args = parse_cli(&argv(&["paper", "--top", "3"])).expect("valid invocation");
+        assert_eq!(args, Args { algo: AlgoSpec::Paper, mode: Mode::Clusters { top: 3 } });
+        for spec in ["paper", "verified", "none", "fix25+conn+compl"] {
+            let args = parse_cli(&argv(&[spec])).expect("valid spec");
+            assert_eq!(args.algo, AlgoSpec::parse(spec).unwrap());
+        }
+        let args = parse_cli(&argv(&["--stats", "--n", "8", "--class", "5", "fix25"]))
+            .expect("valid invocation");
+        assert_eq!(args.algo, AlgoSpec::parse("fix25").unwrap());
+        assert_eq!(args.mode, Mode::Stats { n: 8, class: 5 });
+    }
+
+    #[test]
+    fn rejects_unknown_specs_and_arguments() {
+        let err = parse_cli(&argv(&["papr"])).unwrap_err();
+        assert!(err.contains("unknown algorithm spec"), "{err}");
+        let err = parse_cli(&argv(&["paper", "verified"])).unwrap_err();
+        assert!(err.contains("more than one"), "{err}");
+        assert!(parse_cli(&argv(&["--frobnicate"])).unwrap_err().contains("unknown argument"));
+        // Flags of the other mode are errors, not silently ignored.
+        assert!(parse_cli(&argv(&["--class", "3"])).unwrap_err().contains("--stats"));
+        assert!(parse_cli(&argv(&["--n", "7"])).unwrap_err().contains("--stats"));
+        assert!(parse_cli(&argv(&["--stats", "--top", "3"])).unwrap_err().contains("--top"));
+    }
+
+    #[test]
+    fn rejects_unparsable_and_missing_numbers() {
+        let err = parse_cli(&argv(&["--stats", "--class", "abc"])).unwrap_err();
+        assert!(err.contains("--class"), "{err}");
+        let err = parse_cli(&argv(&["--stats", "--n", "seven"])).unwrap_err();
+        assert!(err.contains("--n"), "{err}");
+        let err = parse_cli(&argv(&["--top", "-1"])).unwrap_err();
+        assert!(err.contains("--top"), "{err}");
+        assert!(parse_cli(&argv(&["--top"])).unwrap_err().contains("missing value"));
+    }
+
+    #[test]
+    fn rejects_robot_counts_outside_the_sweep_range() {
+        for n in [0, MIN_SWEEP_N - 1, MAX_SWEEP_N + 1, 64] {
+            let err = parse_cli(&argv(&["--stats", "--n", &n.to_string()])).unwrap_err();
+            assert!(err.contains("outside"), "{err}");
+        }
+        for n in [MIN_SWEEP_N, MAX_SWEEP_N] {
+            let args = parse_cli(&argv(&["--stats", "--n", &n.to_string()])).expect("in range");
+            assert_eq!(args.mode, Mode::Stats { n, class: 0 });
+        }
     }
 }

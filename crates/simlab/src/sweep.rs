@@ -1002,9 +1002,10 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
 /// `index` is the global class index (it seeds the per-class random
 /// scheduler, keeping outcomes independent of sharding and threading).
 ///
-/// For [`SchedSpec::Adversary`] and [`SchedSpec::Crash`] this builds a
-/// throwaway checker per call; batch paths ([`run_shard`],
-/// [`find_failure`]) share one checker across the whole cell instead.
+/// For the model-checking schedulers ([`SchedSpec::Adversary`],
+/// [`SchedSpec::Crash`] and [`SchedSpec::LcmAsync`]) this builds a
+/// throwaway checker per call; batch paths share one checker instead
+/// ([`run_shard`] per shard, [`find_failure`] per cell).
 #[must_use]
 pub fn run_class<A: Algorithm + ?Sized>(
     initial: &Configuration,
@@ -2162,6 +2163,25 @@ mod tests {
         assert_eq!(at_seven, h.finish());
     }
 
+    /// The merged summary's metrics block carries the checker's own
+    /// tallies: one check per class, verdict counters that match the
+    /// summary, a nonzero peak footprint and move-oracle traffic. Only
+    /// deterministic counters and gauges are asserted; `*_ns` timers
+    /// depend on the process-global `telemetry::set_enabled` switch.
+    fn assert_metrics_mirror_the_summary(summary: &SweepSummary, classes: usize) {
+        let counts = summary.adversary.as_ref().expect("model-checking cells tally verdicts");
+        let metrics = &summary.metrics.as_ref().expect("merged summaries carry metrics").snapshot;
+        assert_eq!(metrics.counter("explore.checks"), classes as u64, "one check per class");
+        assert_eq!(metrics.counter("explore.verdict.proof"), counts.proof as u64);
+        assert_eq!(metrics.counter("explore.verdict.refuted"), counts.refuted as u64);
+        assert_eq!(metrics.counter("explore.verdict.undecided"), counts.undecided as u64);
+        assert!(metrics.gauge("explore.peak_bytes") > 0, "a check reserves heap bytes");
+        assert!(
+            metrics.counter("oracle.hit") + metrics.counter("oracle.miss") > 0,
+            "exploration consults the move oracle"
+        );
+    }
+
     #[test]
     fn crash_cell_records_verdicts_replayable_schedules_and_digest() {
         // The 44-class n=4 space is cheap even in debug. Every
@@ -2177,6 +2197,7 @@ mod tests {
             .map(|(s, (start, end))| run_shard(&classes, &cfg, s, start, end))
             .collect();
         let summary = merge_shards(&cfg, &records).expect("consistent shards");
+        assert_metrics_mirror_the_summary(&summary, classes.len());
         let counts = summary.adversary.expect("crash cells tally verdicts");
         assert_eq!(counts.proof + counts.refuted + counts.undecided, 44);
         let digest = summary.digest.expect("crash cells carry a digest");
@@ -2221,6 +2242,7 @@ mod tests {
             .map(|(s, (start, end))| run_shard(&classes, &cfg, s, start, end))
             .collect();
         let summary = merge_shards(&cfg, &records).expect("consistent shards");
+        assert_metrics_mirror_the_summary(&summary, classes.len());
         let counts = summary.adversary.expect("lcm-async cells tally verdicts");
         assert_eq!(counts.proof + counts.refuted + counts.undecided, 44);
         let digest = summary.digest.expect("lcm-async cells carry a digest");
@@ -2299,6 +2321,7 @@ mod tests {
             .map(|(s, (start, end))| run_shard(&classes, &cfg, s, start, end))
             .collect();
         let summary = merge_shards(&cfg, &records).expect("consistent shards");
+        assert_metrics_mirror_the_summary(&summary, classes.len());
         let counts = summary.adversary.expect("adversary cells tally verdicts");
         assert_eq!(counts.proof + counts.refuted + counts.undecided, 44);
 
